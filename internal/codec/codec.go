@@ -299,9 +299,13 @@ func (d *Decoder) String() (string, error) {
 	return s, nil
 }
 
-// BytesCopy consumes a length-prefixed byte slice, returning a copy so the
-// caller may retain it independently of the stream's backing array.
-func (d *Decoder) BytesCopy() ([]byte, error) {
+// BytesAlias consumes a length-prefixed byte slice and returns it in place:
+// the result shares the stream's backing array, so it is only as immutable
+// as the stream is. Its capacity ends with its length, so an append on the
+// result reallocates instead of overwriting the bytes that follow it. An
+// empty slice comes back nil: a zero-length slice into the stream would
+// still keep the whole stream alive.
+func (d *Decoder) BytesAlias() ([]byte, error) {
 	n, err := d.Uint32()
 	if err != nil {
 		return nil, err
@@ -309,10 +313,23 @@ func (d *Decoder) BytesCopy() ([]byte, error) {
 	if uint64(n) > uint64(d.Remaining()) {
 		return nil, ErrTooLarge
 	}
-	out := make([]byte, n)
-	copy(out, d.buf[d.off:])
-	d.off += int(n)
+	if n == 0 {
+		return nil, nil
+	}
+	end := d.off + int(n)
+	out := d.buf[d.off:end:end]
+	d.off = end
 	return out, nil
+}
+
+// BytesCopy consumes a length-prefixed byte slice, returning a copy so the
+// caller may retain it independently of the stream's backing array.
+func (d *Decoder) BytesCopy() ([]byte, error) {
+	b, err := d.BytesAlias()
+	if err != nil {
+		return nil, err
+	}
+	return append(make([]byte, 0, len(b)), b...), nil
 }
 
 // Value consumes one tagged value.

@@ -204,6 +204,32 @@ func TestBytesCopyIsIndependent(t *testing.T) {
 	}
 }
 
+func TestBytesAliasSharesStream(t *testing.T) {
+	e := NewEncoder(0)
+	e.PutBytes([]byte{1, 2, 3})
+	e.PutBytes(nil)
+	e.PutUint8(9)
+	stream := e.Bytes()
+	d := NewDecoder(stream)
+	b, err := d.BytesAlias()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &b[0] != &stream[4] || cap(b) != len(b) {
+		t.Fatalf("BytesAlias did not return a capped view of the stream (cap %d)", cap(b))
+	}
+	_ = append(b, 0xAA) // must reallocate, not overwrite the next length prefix
+	if empty, err := d.BytesAlias(); err != nil || empty != nil {
+		t.Fatalf("empty field = %v, %v; want nil (no reference into the stream)", empty, err)
+	}
+	if v, err := d.Uint8(); err != nil || v != 9 {
+		t.Fatalf("stream after aliased reads: %d, %v", v, err)
+	}
+	if _, err := NewDecoder([]byte{0, 0, 0, 5, 1}).BytesAlias(); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("overlong length: %v", err)
+	}
+}
+
 func TestEncoderReset(t *testing.T) {
 	e := NewEncoder(4)
 	e.PutUint64(1)

@@ -69,6 +69,11 @@ type Frame struct {
 // u32 crc | i64 sentAt | u16 fromLen | u16 addrLen.
 const frameOverhead = 4 + 8 + 2 + 2
 
+// FrameSize reports the length of f's encoded body.
+func FrameSize(f Frame) int {
+	return frameOverhead + len(f.From) + len(f.FromAddr) + len(f.Payload)
+}
+
 // EncodeFrame returns the checksummed body of f:
 //
 //	u32 crc | i64 sentAt | u16 fromLen | from | u16 addrLen | addr | payload
@@ -77,22 +82,24 @@ const frameOverhead = 4 + 8 + 2 + 2
 // outer length prefix; stream transports add their own (and bound it)
 // before writing.
 func EncodeFrame(f Frame) []byte {
-	total := frameOverhead + len(f.From) + len(f.FromAddr) + len(f.Payload)
-	buf := make([]byte, total)
-	off := 4
-	binary.BigEndian.PutUint64(buf[off:], uint64(f.SentAt))
-	off += 8
-	binary.BigEndian.PutUint16(buf[off:], uint16(len(f.From)))
-	off += 2
-	copy(buf[off:], f.From)
-	off += len(f.From)
-	binary.BigEndian.PutUint16(buf[off:], uint16(len(f.FromAddr)))
-	off += 2
-	copy(buf[off:], f.FromAddr)
-	off += len(f.FromAddr)
-	copy(buf[off:], f.Payload)
-	binary.BigEndian.PutUint32(buf, crc32.Checksum(buf[4:], crcTable))
-	return buf
+	return AppendFrame(make([]byte, 0, FrameSize(f)), f)
+}
+
+// AppendFrame appends the body EncodeFrame would return to dst and
+// returns the extended slice. A stream transport that reserves its length
+// prefix at the front of dst, with FrameSize(f) bytes of spare capacity
+// behind it, gets the whole wire frame in one buffer.
+func AppendFrame(dst []byte, f Frame) []byte {
+	start := len(dst)
+	dst = append(dst, 0, 0, 0, 0) // crc, filled in last
+	dst = binary.BigEndian.AppendUint64(dst, uint64(f.SentAt))
+	dst = binary.BigEndian.AppendUint16(dst, uint16(len(f.From)))
+	dst = append(dst, f.From...)
+	dst = binary.BigEndian.AppendUint16(dst, uint16(len(f.FromAddr)))
+	dst = append(dst, f.FromAddr...)
+	dst = append(dst, f.Payload...)
+	binary.BigEndian.PutUint32(dst[start:], crc32.Checksum(dst[start+4:], crcTable))
+	return dst
 }
 
 // DecodeFrame parses a frame body produced by EncodeFrame. It returns

@@ -85,6 +85,20 @@ func TestChecksumHelpers(t *testing.T) {
 	}
 }
 
+// TestAppendFrameKeepsPrefix checks that AppendFrame writes the same body
+// as EncodeFrame behind a reserved prefix, filling exactly the capacity
+// FrameSize promises.
+func TestAppendFrameKeepsPrefix(t *testing.T) {
+	f := Frame{From: "rb", FromAddr: "127.0.0.1:7002", Payload: []byte("body"), SentAt: 7}
+	buf := AppendFrame(append(make([]byte, 0, 4+FrameSize(f)), 1, 2, 3, 4), f)
+	if len(buf) != cap(buf) || !bytes.Equal(buf[:4], []byte{1, 2, 3, 4}) {
+		t.Fatalf("len %d cap %d prefix %v", len(buf), cap(buf), buf[:4])
+	}
+	if !bytes.Equal(buf[4:], EncodeFrame(f)) {
+		t.Fatal("AppendFrame body differs from EncodeFrame")
+	}
+}
+
 // FuzzFrameDecode drives the frame decoder with arbitrary bytes: it must
 // never panic, and anything it accepts must re-encode to an identical
 // frame (decode∘encode is the identity on valid frames).

@@ -37,11 +37,18 @@ type GroupClient struct {
 	// owned by run goroutine:
 	members      []string
 	oseq         uint64
-	pending      map[uint64]*frame
+	pending      map[uint64]pendingSubmit
 	pendOrder    []uint64
 	rotate       int // resend target rotation across ticks
 	directHigh   map[string]uint64
 	directSparse map[string]map[uint64]bool
+}
+
+// pendingSubmit is a submission awaiting the sequencer's ack, kept as its
+// sealed wire bytes: retransmissions resend them verbatim.
+type pendingSubmit struct {
+	wire   []byte
+	sentVT vtime.Time
 }
 
 // ClientConfig parameterizes a GroupClient.
@@ -93,7 +100,7 @@ func NewClient(send transport.Conn, cfg ClientConfig) *GroupClient {
 		out:          make(chan Event),
 		outDone:      make(chan struct{}),
 		members:      append([]string(nil), cfg.Members...),
-		pending:      make(map[uint64]*frame),
+		pending:      make(map[uint64]pendingSubmit),
 		directHigh:   make(map[string]uint64),
 		directSparse: make(map[string]map[uint64]bool),
 	}
@@ -147,7 +154,9 @@ func (c *GroupClient) do(fn func()) error {
 // Submit injects payload into the group's agreed stream. It is retransmitted
 // until the sequencer acknowledges it; duplicate submissions are suppressed
 // by the sequencer, so retries are safe. sentAt and led carry the caller's
-// virtual time and accumulated costs.
+// virtual time and accumulated costs. payload is encoded into the sealed
+// frame before Submit returns; delivered payloads (Event.Payload) alias
+// their inbound frame and are read-only.
 func (c *GroupClient) Submit(payload []byte, sentAt vtime.Time, led vtime.Ledger) error {
 	return c.do(func() {
 		vt := c.proc.Execute(sentAt, c.cfg.Model.GCSend)
@@ -157,18 +166,19 @@ func (c *GroupClient) Submit(payload []byte, sentAt vtime.Time, led vtime.Ledger
 		}
 		c.oseq++
 		f := &frame{
-			Kind:   kData,
-			Origin: c.Addr(),
-			OSeq:   c.oseq,
-			Level:  Agreed,
-			SentVT: vt,
-			Ledger: led,
+			Kind:    kData,
+			Origin:  c.Addr(),
+			OSeq:    c.oseq,
+			Level:   Agreed,
+			SentVT:  vt,
+			Ledger:  led,
+			Payload: payload,
 		}
-		f.Payload = append([]byte(nil), payload...)
-		c.pending[f.OSeq] = f
+		wire := c.wire(f)
+		c.pending[f.OSeq] = pendingSubmit{wire: wire, sentVT: vt}
 		c.pendOrder = append(c.pendOrder, f.OSeq)
 		if len(c.members) > 0 {
-			_ = c.send.Send(c.members[0], c.enc(f), vt)
+			_ = c.send.Send(c.members[0], wire, vt)
 		}
 	})
 }
@@ -214,10 +224,10 @@ func (c *GroupClient) drainInbox() {
 	}
 }
 
-// enc stamps the client's group id on f and encodes it (see Member.enc).
-func (c *GroupClient) enc(f *frame) []byte {
+// wire stamps the client's group id on f and seals it (see Member.wire).
+func (c *GroupClient) wire(f *frame) []byte {
 	f.Group = c.cfg.GroupID
-	return encodeFrame(f)
+	return sealFrame(c.send, f)
 }
 
 func (c *GroupClient) handleMessage(msg transport.Message) {
@@ -242,7 +252,7 @@ func (c *GroupClient) handleMessage(msg transport.Message) {
 
 func (c *GroupClient) handleDirect(msg transport.Message, f *frame) {
 	ack := &frame{Kind: kDirectAck, Origin: c.Addr(), OSeq: f.OSeq}
-	_ = c.send.SendControl(f.Origin, c.enc(ack), 0)
+	_ = c.send.SendControl(f.Origin, c.wire(ack), 0)
 	if c.directDup(f.Origin, f.OSeq) {
 		return
 	}
@@ -310,12 +320,12 @@ func (c *GroupClient) tick() {
 	// not wedge the client: retransmissions eventually reach a member
 	// that forwards to the live coordinator and corrects our hint.
 	for _, oseq := range c.pendOrder {
-		f, ok := c.pending[oseq]
+		p, ok := c.pending[oseq]
 		if !ok {
 			continue
 		}
 		target := c.members[c.rotate%len(c.members)]
-		_ = c.send.SendControl(target, c.enc(f), f.SentVT)
+		_ = c.send.SendControl(target, p.wire, p.sentVT)
 	}
 	c.rotate++
 	if len(c.pendOrder) > len(c.pending)*2 {

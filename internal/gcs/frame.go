@@ -1,10 +1,12 @@
 package gcs
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
 	"versadep/internal/codec"
+	"versadep/internal/transport"
 	"versadep/internal/vtime"
 )
 
@@ -92,9 +94,37 @@ type frame struct {
 	Group uint32
 }
 
-// encodeFrame serializes f with the codec package.
-func encodeFrame(f *frame) []byte {
-	e := codec.NewEncoder(64 + len(f.Payload) + len(f.Aux))
+// frameHeaderSize is the encoded size of a frame with every string, list
+// and byte field empty, no ledger slots and group 0.
+const frameHeaderSize = 62
+
+// frameSize returns the exact length of f's encoding, so encoders allocate
+// once and never regrow.
+func frameSize(f *frame) int {
+	n := frameHeaderSize + len(f.Origin) + 8*len(f.Seqs) + 8*len(f.Ledger.Slots()) +
+		len(f.Payload) + len(f.Aux)
+	for _, m := range f.Members {
+		n += 4 + len(m)
+	}
+	for _, m := range f.Left {
+		n += 4 + len(m)
+	}
+	if f.Group != 0 {
+		n += 4
+	}
+	return n
+}
+
+// sealFrame encodes f straight into an outbound transport frame and seals
+// it for c: one exactly sized allocation from frame to wire bytes.
+func sealFrame(c transport.Conn, f *frame) []byte {
+	e := transport.NewFrame(frameSize(f))
+	putFrame(e, f)
+	return c.Seal(e.Bytes())
+}
+
+// putFrame appends f's encoding to e.
+func putFrame(e *codec.Encoder, f *frame) {
 	e.PutUint8(uint8(f.Kind))
 	e.PutUint64(f.ViewID)
 	e.PutUint64(f.Seq)
@@ -121,16 +151,22 @@ func encodeFrame(f *frame) []byte {
 	for _, m := range f.Left {
 		e.PutString(m)
 	}
-	// Trailing optional field (the PR-4 resume-fields trick): emitted
-	// only when non-zero so group-0 frames keep their legacy layout.
+	// Trailing optional field, like the replication transfer cursor:
+	// emitted only when non-zero so group-0 frames keep their legacy
+	// layout.
 	if f.Group != 0 {
 		e.PutUint32(f.Group)
 	}
-	return e.Bytes()
 }
 
+// errNonCanonical reports a frame putFrame would never produce: a
+// ledger of the wrong width, an explicit zero group or trailing bytes.
+var errNonCanonical = errors.New("gcs: non-canonical frame")
+
 // decodeFrame parses a frame, validating length prefixes against the
-// stream.
+// stream. Only canonical encodings are accepted, so a decoded frame
+// re-encodes to exactly the bytes it came from. Payload and Aux alias b,
+// which must not change afterwards.
 func decodeFrame(b []byte) (*frame, error) {
 	d := codec.NewDecoder(b)
 	var f frame
@@ -194,22 +230,20 @@ func decodeFrame(b []byte) (*frame, error) {
 		return nil, err
 	}
 	slots := f.Ledger.Slots()
-	if uint64(n) > uint64(d.Remaining()) {
-		return nil, codec.ErrTooLarge
+	if int(n) != len(slots) {
+		return nil, errNonCanonical
 	}
-	for i := uint32(0); i < n; i++ {
+	for i := range slots {
 		v, err := d.Int64()
 		if err != nil {
 			return nil, err
 		}
-		if int(i) < len(slots) {
-			slots[i] = vtime.Duration(v)
-		}
+		slots[i] = vtime.Duration(v)
 	}
-	if f.Payload, err = d.BytesCopy(); err != nil {
+	if f.Payload, err = d.BytesAlias(); err != nil {
 		return nil, err
 	}
-	if f.Aux, err = d.BytesCopy(); err != nil {
+	if f.Aux, err = d.BytesAlias(); err != nil {
 		return nil, err
 	}
 	if n, err = d.Uint32(); err != nil {
@@ -230,9 +264,23 @@ func decodeFrame(b []byte) (*frame, error) {
 		if err != nil {
 			return nil, err
 		}
+		if g == 0 || d.Remaining() > 0 {
+			return nil, errNonCanonical
+		}
 		f.Group = g
 	}
 	return &f, nil
+}
+
+// detach replaces Payload and Aux, which decodeFrame aliases to the
+// inbound buffer, with private copies of exactly their length.
+func (f *frame) detach() {
+	if len(f.Payload) > 0 {
+		f.Payload = append(make([]byte, 0, len(f.Payload)), f.Payload...)
+	}
+	if len(f.Aux) > 0 {
+		f.Aux = append(make([]byte, 0, len(f.Aux)), f.Aux...)
+	}
 }
 
 // encodeSeenData packs per-origin dedup watermarks for kView Aux payloads.
@@ -280,15 +328,21 @@ func decodeSeenData(b []byte) (map[string]uint64, error) {
 
 // encodeFrameList packs frames for kFetchResp Aux payloads.
 func encodeFrameList(fs []*frame) []byte {
-	e := codec.NewEncoder(64 * (1 + len(fs)))
+	n := 4
+	for _, f := range fs {
+		n += 4 + frameSize(f)
+	}
+	e := codec.NewEncoder(n)
 	e.PutUint32(uint32(len(fs)))
 	for _, f := range fs {
-		e.PutBytes(encodeFrame(f))
+		// A length-prefixed frame, encoded in place.
+		e.PutUint32(uint32(frameSize(f)))
+		putFrame(e, f)
 	}
 	return e.Bytes()
 }
 
-// decodeFrameList unpacks a kFetchResp Aux payload.
+// decodeFrameList unpacks a kFetchResp Aux payload. The frames alias b.
 func decodeFrameList(b []byte) ([]*frame, error) {
 	d := codec.NewDecoder(b)
 	n, err := d.Uint32()
@@ -300,7 +354,7 @@ func decodeFrameList(b []byte) ([]*frame, error) {
 	}
 	out := make([]*frame, 0, n)
 	for i := uint32(0); i < n; i++ {
-		fb, err := d.BytesCopy()
+		fb, err := d.BytesAlias()
 		if err != nil {
 			return nil, err
 		}

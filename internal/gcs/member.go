@@ -98,7 +98,7 @@ type Member struct {
 
 	// Reliable direct unicast.
 	directOut    map[string]uint64
-	directUnack  map[string]map[uint64]*frame
+	directUnack  map[string]map[uint64]unackedDirect
 	directHigh   map[string]uint64
 	directSparse map[string]map[uint64]bool
 	dataAcked    map[uint64]bool // acks for my kData submissions (external use)
@@ -111,7 +111,7 @@ type Member struct {
 	// minoritySince marks when the unsuspected survivor set lost primacy
 	// (see primaryPartition); zero while primacy holds.
 	minoritySince time.Time
-	det       *detector.Phi
+	det           *detector.Phi
 
 	// View change.
 	blocked      bool
@@ -133,6 +133,14 @@ type rxFrame struct {
 	f   *frame
 	vt  vtime.Time
 	led vtime.Ledger
+}
+
+// unackedDirect is a direct frame awaiting its ack, kept as the sealed
+// wire bytes so a retransmission neither re-encodes nor re-checksums it.
+type unackedDirect struct {
+	wire   []byte
+	sentVT vtime.Time
+	sent   time.Time // wall instant of the first send
 }
 
 // proposal tracks an in-flight view change led by this member.
@@ -192,7 +200,7 @@ func Open(conn, xconn transport.Conn, cfg Config) *Member {
 		vc:           make(map[string]uint64),
 		causalSent:   make(map[uint64]*frame),
 		directOut:    make(map[string]uint64),
-		directUnack:  make(map[string]map[uint64]*frame),
+		directUnack:  make(map[string]map[uint64]unackedDirect),
 		directHigh:   make(map[string]uint64),
 		directSparse: make(map[string]map[uint64]bool),
 		dataAcked:    make(map[uint64]bool),
@@ -291,13 +299,19 @@ func (m *Member) View() (View, error) {
 // upper layers. Agreed messages survive sequencer crashes (they are
 // retransmitted and resubmitted across view changes); FIFO and causal
 // messages are retransmitted within a view.
+//
+// The member takes ownership of payload without copying it: the caller
+// must not modify it afterwards. Delivered payloads (Event.Payload) are
+// read-only for the same reason — they alias the frame that carried them,
+// which the member may still hold for retransmission.
 func (m *Member) Multicast(payload []byte, lvl ServiceLevel, sentAt vtime.Time, led vtime.Ledger) error {
 	return m.do(func() { m.multicastLocked(payload, lvl, sentAt, led) })
 }
 
 // SendDirect reliably delivers payload to an external group client at the
 // given address. Delivery is at-least-once with receiver-side duplicate
-// suppression.
+// suppression. payload is encoded once, into a sealed frame, before
+// SendDirect returns; retransmissions resend that frame.
 func (m *Member) SendDirect(to string, payload []byte, sentAt vtime.Time, led vtime.Ledger) error {
 	return m.do(func() { m.sendDirectLocked(to, payload, sentAt, led) })
 }
@@ -416,12 +430,12 @@ func (m *Member) pumpOut() {
 
 // ---- sending helpers ----
 
-// enc stamps the member's group id on f and encodes it. Every wire send
-// goes through here (loopback deliveries skip encoding entirely, and the
-// group check only runs at decode time, so they need no stamp).
-func (m *Member) enc(f *frame) []byte {
+// wire stamps the member's group id on f and seals it for c. Every wire
+// send goes through here (loopback deliveries skip encoding entirely, and
+// the group check only runs at decode time, so they need no stamp).
+func (m *Member) wire(c transport.Conn, f *frame) []byte {
 	f.Group = m.cfg.GroupID
-	return encodeFrame(f)
+	return sealFrame(c, f)
 }
 
 func (m *Member) sendControl(to string, f *frame) {
@@ -431,7 +445,7 @@ func (m *Member) sendControl(to string, f *frame) {
 		}
 		return
 	}
-	_ = m.conn.SendControl(to, m.enc(f), f.SentVT)
+	_ = m.conn.SendControl(to, m.wire(m.conn, f), f.SentVT)
 }
 
 func (m *Member) sendData(to string, f *frame) {
@@ -439,7 +453,7 @@ func (m *Member) sendData(to string, f *frame) {
 		m.handleFrame(transport.Message{From: to, To: to, SentAt: f.SentVT, ArriveAt: f.SentVT}, f)
 		return
 	}
-	_ = m.conn.Send(to, m.enc(f), f.SentVT)
+	_ = m.conn.Send(to, m.wire(m.conn, f), f.SentVT)
 }
 
 // castData multicasts a data frame to all view members (including self via
@@ -464,7 +478,7 @@ func (m *Member) castDataOthers(f *frame) bool {
 		others = append(others, mm)
 	}
 	if len(others) > 0 {
-		_ = m.conn.SendMulticast(others, m.enc(f), f.SentVT)
+		_ = m.conn.SendMulticast(others, m.wire(m.conn, f), f.SentVT)
 	}
 	return self
 }
@@ -472,10 +486,10 @@ func (m *Member) castDataOthers(f *frame) bool {
 // sendExternal routes a frame to an external (non-member) address.
 func (m *Member) sendExternal(to string, f *frame, control bool) {
 	if control {
-		_ = m.xconn.SendControl(to, m.enc(f), f.SentVT)
+		_ = m.xconn.SendControl(to, m.wire(m.xconn, f), f.SentVT)
 		return
 	}
-	_ = m.xconn.Send(to, m.enc(f), f.SentVT)
+	_ = m.xconn.Send(to, m.wire(m.xconn, f), f.SentVT)
 }
 
 func (m *Member) isExternal(addr string) bool {

@@ -57,14 +57,14 @@ func (m *Member) multicastLocked(payload []byte, lvl ServiceLevel, sentAt vtime.
 	case Agreed:
 		m.localSeq++
 		f := &frame{
-			Kind:   kData,
-			Origin: m.Addr(),
-			OSeq:   m.localSeq,
-			Level:  Agreed,
-			SentVT: vt,
-			Ledger: led,
+			Kind:    kData,
+			Origin:  m.Addr(),
+			OSeq:    m.localSeq,
+			Level:   Agreed,
+			SentVT:  vt,
+			Ledger:  led,
+			Payload: payload,
 		}
-		f.Payload = append([]byte(nil), payload...)
 		m.pending[f.OSeq] = f
 		m.pendOrder = append(m.pendOrder, f.OSeq)
 		if m.installed && !m.blocked {
@@ -73,30 +73,30 @@ func (m *Member) multicastLocked(payload []byte, lvl ServiceLevel, sentAt vtime.
 	case FIFO:
 		m.fifoOut++
 		f := &frame{
-			Kind:   kFifo,
-			ViewID: m.view.ID,
-			Origin: m.Addr(),
-			OSeq:   m.fifoOut,
-			Level:  FIFO,
-			SentVT: vt,
-			Ledger: led,
+			Kind:    kFifo,
+			ViewID:  m.view.ID,
+			Origin:  m.Addr(),
+			OSeq:    m.fifoOut,
+			Level:   FIFO,
+			SentVT:  vt,
+			Ledger:  led,
+			Payload: payload,
 		}
-		f.Payload = append([]byte(nil), payload...)
 		m.fifoSent[f.OSeq] = f
 		m.castData(f)
 	case Causal:
 		m.vc[m.Addr()]++
 		f := &frame{
-			Kind:   kCausal,
-			ViewID: m.view.ID,
-			Origin: m.Addr(),
-			OSeq:   m.vc[m.Addr()],
-			Level:  Causal,
-			SentVT: vt,
-			Ledger: led,
-			Seqs:   m.vcSnapshot(),
+			Kind:    kCausal,
+			ViewID:  m.view.ID,
+			Origin:  m.Addr(),
+			OSeq:    m.vc[m.Addr()],
+			Level:   Causal,
+			SentVT:  vt,
+			Ledger:  led,
+			Seqs:    m.vcSnapshot(),
+			Payload: payload,
 		}
-		f.Payload = append([]byte(nil), payload...)
 		m.causalSent[f.OSeq] = f
 		// The sender's own vector entry already advanced, so the message
 		// is delivered locally at once and multicast to the others only
@@ -116,14 +116,14 @@ func (m *Member) multicastLocked(payload []byte, lvl ServiceLevel, sentAt vtime.
 		})
 	default: // BestEffort
 		f := &frame{
-			Kind:   kBE,
-			ViewID: m.view.ID,
-			Origin: m.Addr(),
-			Level:  BestEffort,
-			SentVT: vt,
-			Ledger: led,
+			Kind:    kBE,
+			ViewID:  m.view.ID,
+			Origin:  m.Addr(),
+			Level:   BestEffort,
+			SentVT:  vt,
+			Ledger:  led,
+			Payload: payload,
 		}
-		f.Payload = append([]byte(nil), payload...)
 		m.castData(f)
 	}
 }
@@ -147,18 +147,19 @@ func (m *Member) sendDirectLocked(to string, payload []byte, sentAt vtime.Time, 
 	}
 	m.directOut[to]++
 	f := &frame{
-		Kind:   kDirect,
-		Origin: m.Addr(),
-		OSeq:   m.directOut[to],
-		SentVT: vt,
-		Ledger: led,
+		Kind:    kDirect,
+		Origin:  m.Addr(),
+		OSeq:    m.directOut[to],
+		SentVT:  vt,
+		Ledger:  led,
+		Payload: payload,
 	}
-	f.Payload = append([]byte(nil), payload...)
+	wire := m.wire(m.xconn, f)
 	if m.directUnack[to] == nil {
-		m.directUnack[to] = make(map[uint64]*frame)
+		m.directUnack[to] = make(map[uint64]unackedDirect)
 	}
-	m.directUnack[to][f.OSeq] = f
-	m.sendExternal(to, f, false)
+	m.directUnack[to][f.OSeq] = unackedDirect{wire: wire, sentVT: vt, sent: m.now()}
+	_ = m.xconn.Send(to, wire, vt)
 }
 
 // currentSequencer is the coordinator of the installed view, or the highest
@@ -540,7 +541,12 @@ func (m *Member) deliverSequenced(rf *rxFrame) {
 	})
 }
 
+// recordHistory keeps a delivered frame for retransmission. The frame is
+// detached first: the history outlives the inbound buffer by thousands of
+// frames, and aliasing would pin all of that buffer (transport framing,
+// frame header, checksum) where the payload alone is what must be kept.
 func (m *Member) recordHistory(f *frame) {
+	f.detach()
 	m.history[f.Seq] = f
 	if f.Seq > m.histHigh {
 		m.histHigh = f.Seq
@@ -985,10 +991,15 @@ func (m *Member) tick() {
 		m.compactPendOrder()
 	}
 
-	// Resend unacked direct traffic.
+	// Resend direct frames unacked for a heartbeat interval or more; a
+	// younger frame is still in flight, and so is its ack. The sealed
+	// bytes go out again verbatim.
 	for to, un := range m.directUnack {
-		for _, f := range un {
-			m.sendExternal(to, f, true)
+		for _, d := range un {
+			if nowT.Sub(d.sent) < m.cfg.HBInterval {
+				continue
+			}
+			_ = m.xconn.SendControl(to, d.wire, d.sentVT)
 			m.cRetransmit.Inc()
 		}
 	}

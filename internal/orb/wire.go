@@ -42,7 +42,18 @@ type Envelope struct {
 
 // EncodeEnvelope serializes an envelope.
 func EncodeEnvelope(env *Envelope) []byte {
-	e := codec.NewEncoder(48 + len(env.Bytes))
+	e := codec.NewEncoder(envelopeSize(env))
+	putEnvelope(e, env)
+	return e.Bytes()
+}
+
+// envelopeSize is the exact length of env's encoding.
+func envelopeSize(env *Envelope) int {
+	return 8 + 4 + 8*len(env.Ledger.Slots()) + 4 + len(env.Bytes)
+}
+
+// putEnvelope appends env's encoding to e.
+func putEnvelope(e *codec.Encoder, env *Envelope) {
 	e.PutInt64(int64(env.VT))
 	slots := env.Ledger.Slots()
 	e.PutUint32(uint32(len(slots)))
@@ -50,10 +61,17 @@ func EncodeEnvelope(env *Envelope) []byte {
 		e.PutInt64(int64(d))
 	}
 	e.PutBytes(env.Bytes)
-	return e.Bytes()
 }
 
-// DecodeEnvelope parses an envelope.
+// sendEnvelope encodes env straight into a sealed transport frame and
+// sends it.
+func sendEnvelope(conn transport.Conn, to string, env *Envelope) error {
+	f := transport.NewFrame(envelopeSize(env))
+	putEnvelope(f, env)
+	return conn.Send(to, conn.Seal(f.Bytes()), env.VT)
+}
+
+// DecodeEnvelope parses an envelope. Bytes aliases b.
 func DecodeEnvelope(b []byte) (*Envelope, error) {
 	d := codec.NewDecoder(b)
 	vt, err := d.Int64()
@@ -79,7 +97,7 @@ func DecodeEnvelope(b []byte) (*Envelope, error) {
 			slots[i] = vtime.Duration(v)
 		}
 	}
-	if env.Bytes, err = d.BytesCopy(); err != nil {
+	if env.Bytes, err = d.BytesAlias(); err != nil {
 		return nil, err
 	}
 	return &env, nil
@@ -114,8 +132,7 @@ func NewDirectWire(conn transport.Conn, server string, model vtime.CostModel) *D
 
 // Send transmits the request inside a timing envelope.
 func (w *DirectWire) Send(reqBytes []byte, sentAt vtime.Time, led vtime.Ledger) error {
-	env := &Envelope{VT: sentAt, Ledger: led, Bytes: reqBytes}
-	return w.conn.Send(w.server, EncodeEnvelope(env), sentAt)
+	return sendEnvelope(w.conn, w.server, &Envelope{VT: sentAt, Ledger: led, Bytes: reqBytes})
 }
 
 // HandleTransport ingests an inbound reply message.

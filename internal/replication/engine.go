@@ -18,8 +18,13 @@ import (
 // servants the process hosts, so they recover as a unit.
 type Checkpointable interface {
 	// State returns a serialized snapshot of the full application state.
+	// The engine takes ownership of the slice (a transfer bookmark keeps
+	// it while joiners may resume), so the application must not modify
+	// it afterwards.
 	State() []byte
-	// Restore replaces the application state with a snapshot.
+	// Restore replaces the application state with a snapshot. state is
+	// read-only and aliases the received message: Restore must not write
+	// into it, and must copy whatever it keeps beyond the call.
 	Restore(state []byte) error
 }
 

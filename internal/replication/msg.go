@@ -126,9 +126,29 @@ func hasChunkCursor(k MsgKind) bool {
 	return k == KindStateChunk || k == KindChunkAck || k == KindResumeReq
 }
 
+// msgHeaderSize is the encoded size of a Msg with every variable-length
+// field empty and no chunk cursor.
+const msgHeaderSize = 51
+
+// encodedSize returns the exact length of m's encoding, so Encode
+// allocates once and never regrows.
+func encodedSize(m *Msg) int {
+	n := msgHeaderSize + len(m.Viop) + len(m.State) + len(m.Target)
+	for _, c := range m.Cache {
+		n += 4 + len(c.Client) + 8 + 4 + len(c.Reply)
+	}
+	for k := range m.Metrics {
+		n += 4 + len(k) + 8
+	}
+	if hasChunkCursor(m.Kind) {
+		n += 8
+	}
+	return n
+}
+
 // Encode serializes m.
 func Encode(m *Msg) []byte {
-	e := codec.NewEncoder(32 + len(m.Viop) + len(m.State))
+	e := codec.NewEncoder(encodedSize(m))
 	e.PutUint8(uint8(m.Kind))
 	e.PutBytes(m.Viop)
 	e.PutBytes(m.State)
@@ -165,7 +185,10 @@ func Encode(m *Msg) []byte {
 	return e.Bytes()
 }
 
-// Decode parses a replication envelope.
+// Decode parses a replication envelope. Only canonical encodings are
+// accepted, so a decoded message re-encodes to exactly b. Viop, State and
+// every cached Reply alias b, which must not change afterwards (inbound
+// transport payloads never do).
 func Decode(b []byte) (*Msg, error) {
 	d := codec.NewDecoder(b)
 	var m Msg
@@ -174,10 +197,10 @@ func Decode(b []byte) (*Msg, error) {
 		return nil, errBadMsg
 	}
 	m.Kind = MsgKind(kind)
-	if m.Viop, err = d.BytesCopy(); err != nil {
+	if m.Viop, err = d.BytesAlias(); err != nil {
 		return nil, err
 	}
-	if m.State, err = d.BytesCopy(); err != nil {
+	if m.State, err = d.BytesAlias(); err != nil {
 		return nil, err
 	}
 	n, err := d.Uint32()
@@ -196,7 +219,7 @@ func Decode(b []byte) (*Msg, error) {
 		if c.ReqID, err = d.Uint64(); err != nil {
 			return nil, err
 		}
-		if c.Reply, err = d.BytesCopy(); err != nil {
+		if c.Reply, err = d.BytesAlias(); err != nil {
 			return nil, err
 		}
 		m.Cache = append(m.Cache, c)
@@ -215,9 +238,14 @@ func Decode(b []byte) (*Msg, error) {
 	if m.CkptSerial, err = d.Uint64(); err != nil {
 		return nil, err
 	}
-	if m.Final, err = d.Bool(); err != nil {
+	final, err := d.Uint8()
+	if err != nil {
 		return nil, err
 	}
+	if final > 1 {
+		return nil, errBadMsg
+	}
+	m.Final = final == 1
 	if m.CheckpointEvery, err = d.Uint32(); err != nil {
 		return nil, err
 	}
@@ -229,11 +257,16 @@ func Decode(b []byte) (*Msg, error) {
 	}
 	if n > 0 {
 		m.Metrics = make(map[string]float64, n)
+		prev := ""
 		for i := uint32(0); i < n; i++ {
 			k, err := d.String()
 			if err != nil {
 				return nil, err
 			}
+			if i > 0 && k <= prev {
+				return nil, errBadMsg // Encode writes keys sorted and unique
+			}
+			prev = k
 			v, err := d.Float64()
 			if err != nil {
 				return nil, err
@@ -251,6 +284,9 @@ func Decode(b []byte) (*Msg, error) {
 		if m.ChunkCount, err = d.Uint32(); err != nil {
 			return nil, errBadMsg
 		}
+	}
+	if d.Remaining() != 0 {
+		return nil, errBadMsg
 	}
 	return &m, nil
 }
@@ -271,7 +307,7 @@ func PeekRequestViop(b []byte) ([]byte, bool) {
 	if err != nil || MsgKind(kind) != KindRequest {
 		return nil, false
 	}
-	viop, err := d.BytesCopy()
+	viop, err := d.BytesAlias()
 	if err != nil || len(viop) == 0 {
 		return nil, false
 	}

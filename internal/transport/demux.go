@@ -27,15 +27,40 @@ const (
 	ProtoGroupClient Protocol = 3
 )
 
-// Conn is the sending surface a protocol layer sees after demultiplexing:
-// payloads are automatically prefixed with the protocol byte. Multicast
-// counts payload bytes once (LAN multicast semantics); control sends are
-// excluded from traffic accounting entirely.
+// Headroom is the number of bytes a sending layer reserves at the front of
+// every outbound frame: Seal stamps the protocol byte there.
+const Headroom = 1
+
+// NewFrame returns an encoder for one outbound frame whose protocol body is
+// exactly size bytes long. The buffer already holds the Headroom bytes and
+// has capacity for the body and the checksum trailer, so encoding the body
+// and sealing the frame fill one allocation and never copy it.
+func NewFrame(size int) *codec.Encoder {
+	e := codec.NewEncoder(Headroom + size + codec.SealOverhead)
+	e.PutUint8(0) // the protocol byte, stamped by Seal
+	return e
+}
+
+// Conn is the sending surface a protocol layer sees after demultiplexing.
+// A layer encodes each message into a NewFrame buffer, seals it once, and
+// hands the wire bytes to any of the send methods. Multicast counts
+// payload bytes once (LAN multicast semantics); control sends are excluded
+// from traffic accounting entirely.
+//
+// Ownership: sealed wire bytes belong to the transport from the first
+// send on. The sender must not modify them again, but may resend them
+// verbatim (a retransmission costs no encoding and no checksum). Receivers
+// may alias inbound payloads but never write into them: on simnet every
+// destination of a multicast reads the same bytes.
 type Conn interface {
 	Addr() string
-	Send(to string, payload []byte, sentAt vtime.Time) error
-	SendMulticast(tos []string, payload []byte, sentAt vtime.Time) error
-	SendControl(to string, payload []byte, sentAt vtime.Time) error
+	// Seal completes a frame built with NewFrame in place: it stamps the
+	// protocol byte into the headroom, appends the CRC32-C trailer in the
+	// spare capacity and returns the wire bytes.
+	Seal(frame []byte) []byte
+	Send(to string, wire []byte, sentAt vtime.Time) error
+	SendMulticast(tos []string, wire []byte, sentAt vtime.Time) error
+	SendControl(to string, wire []byte, sentAt vtime.Time) error
 }
 
 // MultiEndpoint is the full sending surface demux requires from a
@@ -138,7 +163,9 @@ func (d *Demux) run() {
 			continue
 		}
 		proto := Protocol(body[0])
-		m.Payload = body[1:]
+		// Capped so an append by a handler cannot overwrite the trailer
+		// that other receivers of the same multicast buffer still verify.
+		m.Payload = body[1:len(body):len(body)]
 		d.mu.Lock()
 		fn := d.handlers[proto]
 		d.mu.Unlock()
@@ -162,21 +189,19 @@ var _ Conn = protoConn{}
 
 func (c protoConn) Addr() string { return c.d.ep.Addr() }
 
-func (c protoConn) frame(payload []byte) []byte {
-	buf := make([]byte, 1+len(payload), 1+len(payload)+4)
-	buf[0] = c.proto
-	copy(buf[1:], payload)
-	return codec.AppendChecksum(buf)
+func (c protoConn) Seal(frame []byte) []byte {
+	frame[0] = c.proto
+	return codec.AppendChecksum(frame)
 }
 
-func (c protoConn) Send(to string, payload []byte, sentAt vtime.Time) error {
-	return c.d.ep.Send(to, c.frame(payload), sentAt)
+func (c protoConn) Send(to string, wire []byte, sentAt vtime.Time) error {
+	return c.d.ep.Send(to, wire, sentAt)
 }
 
-func (c protoConn) SendMulticast(tos []string, payload []byte, sentAt vtime.Time) error {
-	return c.d.ep.SendMulticast(tos, c.frame(payload), sentAt)
+func (c protoConn) SendMulticast(tos []string, wire []byte, sentAt vtime.Time) error {
+	return c.d.ep.SendMulticast(tos, wire, sentAt)
 }
 
-func (c protoConn) SendControl(to string, payload []byte, sentAt vtime.Time) error {
-	return c.d.ep.SendControl(to, c.frame(payload), sentAt)
+func (c protoConn) SendControl(to string, wire []byte, sentAt vtime.Time) error {
+	return c.d.ep.SendControl(to, wire, sentAt)
 }

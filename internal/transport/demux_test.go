@@ -1,12 +1,15 @@
 package transport_test
 
 import (
+	"bytes"
 	"sync"
 	"testing"
 	"time"
 
+	"versadep/internal/codec"
 	"versadep/internal/simnet"
 	"versadep/internal/transport"
+	"versadep/internal/vtime"
 )
 
 type collector struct {
@@ -48,6 +51,18 @@ func (c *collector) wait(t *testing.T, n int) []transport.Message {
 	}
 }
 
+// sealed frames body for c the way a protocol layer does: encoded behind
+// the headroom of a NewFrame buffer, then sealed.
+func sealed(c transport.Conn, body []byte) []byte {
+	return c.Seal(append(transport.NewFrame(len(body)).Bytes(), body...))
+}
+
+// send seals body for d's proto view and sends it.
+func send(d *transport.Demux, proto transport.Protocol, to, body string) error {
+	c := d.Conn(proto)
+	return c.Send(to, sealed(c, []byte(body)), 0)
+}
+
 func TestDemuxRoutesByProtocol(t *testing.T) {
 	n := simnet.New()
 	defer n.Close()
@@ -71,13 +86,13 @@ func TestDemuxRoutesByProtocol(t *testing.T) {
 	defer da.Close()
 	defer db.Close()
 
-	if err := da.Conn(transport.ProtoGCS).Send("b", []byte("g1"), 0); err != nil {
+	if err := send(da, transport.ProtoGCS, "b", "g1"); err != nil {
 		t.Fatal(err)
 	}
-	if err := da.Conn(transport.ProtoVIOP).Send("b", []byte("v1"), 0); err != nil {
+	if err := send(da, transport.ProtoVIOP, "b", "v1"); err != nil {
 		t.Fatal(err)
 	}
-	if err := da.Conn(transport.ProtoGCS).Send("b", []byte("g2"), 0); err != nil {
+	if err := send(da, transport.ProtoGCS, "b", "g2"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -110,10 +125,10 @@ func TestDemuxUnhandledProtocolDropped(t *testing.T) {
 	defer db.Close()
 
 	// No handler for VIOP at b; must not wedge the dispatcher.
-	if err := da.Conn(transport.ProtoVIOP).Send("b", []byte("lost"), 0); err != nil {
+	if err := send(da, transport.ProtoVIOP, "b", "lost"); err != nil {
 		t.Fatal(err)
 	}
-	if err := da.Conn(transport.ProtoGCS).Send("b", []byte("kept"), 0); err != nil {
+	if err := send(da, transport.ProtoGCS, "b", "kept"); err != nil {
 		t.Fatal(err)
 	}
 	g := gcs.wait(t, 1)
@@ -145,7 +160,7 @@ func TestDemuxMulticastAndControl(t *testing.T) {
 
 	conn := da.Conn(transport.ProtoGCS)
 	payload := make([]byte, 99)
-	if err := conn.SendMulticast([]string{"b", "c"}, payload, 0); err != nil {
+	if err := conn.SendMulticast([]string{"b", "c"}, sealed(conn, payload), 0); err != nil {
 		t.Fatal(err)
 	}
 	cb.wait(t, 1)
@@ -156,7 +171,7 @@ func TestDemuxMulticastAndControl(t *testing.T) {
 	}
 
 	// Control traffic is not counted at all.
-	if err := conn.SendControl("b", []byte("hb"), 0); err != nil {
+	if err := conn.SendControl("b", sealed(conn, []byte("hb")), 0); err != nil {
 		t.Fatal(err)
 	}
 	cb.wait(t, 2)
@@ -184,7 +199,7 @@ func TestDemuxEmptyPayloadIgnored(t *testing.T) {
 	da := transport.NewDemux(epA)
 	da.Start()
 	defer da.Close()
-	if err := da.Conn(transport.ProtoGCS).Send("b", []byte("ok"), 0); err != nil {
+	if err := send(da, transport.ProtoGCS, "b", "ok"); err != nil {
 		t.Fatal(err)
 	}
 	g := gcs.wait(t, 1)
@@ -218,5 +233,42 @@ func TestSimnetMulticastFaultIndependence(t *testing.T) {
 	case <-epB.Recv():
 		t.Fatal("partitioned b received multicast")
 	case <-time.After(50 * time.Millisecond):
+	}
+}
+
+// discardEndpoint is a MultiEndpoint that drops everything it is given.
+type discardEndpoint struct{ recv chan transport.Message }
+
+func (discardEndpoint) Addr() string                                     { return "a" }
+func (discardEndpoint) Send(string, []byte, vtime.Time) error            { return nil }
+func (discardEndpoint) SendMulticast([]string, []byte, vtime.Time) error { return nil }
+func (discardEndpoint) SendControl(string, []byte, vtime.Time) error     { return nil }
+func (e discardEndpoint) Recv() <-chan transport.Message                 { return e.recv }
+func (e discardEndpoint) Close() error                                   { close(e.recv); return nil }
+
+// TestSealAllocatesNothing pins the single-copy send path: a frame built
+// with NewFrame costs one allocation, and sealing and sending it none.
+func TestSealAllocatesNothing(t *testing.T) {
+	d := transport.NewDemux(discardEndpoint{recv: make(chan transport.Message)})
+	c := d.Conn(transport.ProtoGCS)
+	body := bytes.Repeat([]byte{7}, 40<<10)
+	var frame []byte
+	if allocs := testing.AllocsPerRun(20, func() {
+		frame = append(transport.NewFrame(len(body)).Bytes(), body...)
+	}); allocs != 1 {
+		t.Fatalf("NewFrame plus encoding made %v allocations, want 1", allocs)
+	}
+	if allocs := testing.AllocsPerRun(20, func() {
+		_ = c.Send("b", c.Seal(frame[:transport.Headroom+len(body)]), 0)
+	}); allocs != 0 {
+		t.Fatalf("seal and send made %v allocations, want 0", allocs)
+	}
+	wire := c.Seal(frame)
+	if len(wire) != transport.Headroom+len(body)+codec.SealOverhead || cap(wire) != len(wire) {
+		t.Fatalf("wire len %d cap %d", len(wire), cap(wire))
+	}
+	got, err := codec.VerifyChecksum(wire)
+	if err != nil || got[0] != byte(transport.ProtoGCS) || !bytes.Equal(got[1:], body) {
+		t.Fatalf("sealed frame does not verify: %v", err)
 	}
 }

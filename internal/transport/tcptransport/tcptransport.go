@@ -131,6 +131,7 @@ func WithRetry(c RetryConfig) Option {
 type Endpoint struct {
 	name  string
 	ln    net.Listener
+	bound string // ln's address, advertised in every frame
 	peers map[string]string
 	retry atomic.Value // RetryConfig
 
@@ -162,6 +163,7 @@ func Listen(name, bind string, peers map[string]string, opts ...Option) (*Endpoi
 	e := &Endpoint{
 		name:    name,
 		ln:      ln,
+		bound:   ln.Addr().String(),
 		peers:   peers,
 		senders: make(map[string]*peerSender),
 		inbound: make(map[net.Conn]bool),
@@ -200,7 +202,7 @@ func (e *Endpoint) Stats() Stats {
 func (e *Endpoint) Addr() string { return e.name }
 
 // BoundAddr returns the actual listening address (useful with ":0").
-func (e *Endpoint) BoundAddr() string { return e.ln.Addr().String() }
+func (e *Endpoint) BoundAddr() string { return e.bound }
 
 // Recv returns the inbound message stream.
 func (e *Endpoint) Recv() <-chan transport.Message { return e.out }
@@ -209,7 +211,7 @@ func (e *Endpoint) Recv() <-chan transport.Message { return e.out }
 // peers, closed endpoints with pending work, and overflowing queues all
 // drop the frame.
 func (e *Endpoint) Send(to string, payload []byte, sentAt vtime.Time) error {
-	frame := encodeFrame(e.name, e.BoundAddr(), payload, sentAt)
+	frame := encodeFrame(e.name, e.bound, payload, sentAt)
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
@@ -444,16 +446,17 @@ func (p *peerSender) run() {
 // may be desynced) and closes the connection; anything inside a valid
 // length is verified by codec.DecodeFrame and at worst drops one frame.
 
+// encodeFrame builds the whole wire frame in one buffer: the length prefix
+// is reserved up front and the codec body is appended behind it.
 func encodeFrame(from, fromAddr string, payload []byte, sentAt vtime.Time) []byte {
-	body := codec.EncodeFrame(codec.Frame{
+	f := codec.Frame{
 		From:     from,
 		FromAddr: fromAddr,
 		Payload:  payload,
 		SentAt:   int64(sentAt),
-	})
-	buf := make([]byte, 4+len(body))
-	binary.BigEndian.PutUint32(buf, uint32(len(body)))
-	copy(buf[4:], body)
+	}
+	buf := codec.AppendFrame(make([]byte, 4, 4+codec.FrameSize(f)), f)
+	binary.BigEndian.PutUint32(buf, uint32(len(buf)-4))
 	return buf
 }
 

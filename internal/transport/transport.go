@@ -20,7 +20,10 @@ import (
 type Message struct {
 	// From and To are process addresses.
 	From, To string
-	// Payload is the opaque application bytes. Receivers own the slice.
+	// Payload is the opaque application bytes. It is immutable: a
+	// receiver may alias it (decoders return slices into it) but never
+	// writes into it, because the network may hand the same bytes to
+	// several receivers and the sender may still be retransmitting them.
 	Payload []byte
 	// SentAt is the sender's virtual timestamp.
 	SentAt vtime.Time
@@ -36,7 +39,9 @@ type Endpoint interface {
 	// Send enqueues payload for delivery to the given address. sentAt is
 	// the sender's current virtual time. Send never blocks on the
 	// receiver; delivery is asynchronous. Sending to an unknown address
-	// silently drops (datagram semantics).
+	// silently drops (datagram semantics). The payload belongs to the
+	// network from then on: the caller must not modify it, and may pass
+	// the same bytes to Send again.
 	Send(to string, payload []byte, sentAt vtime.Time) error
 	// Recv returns the channel on which inbound messages are delivered.
 	// The channel is closed when the endpoint closes or crashes.
